@@ -21,11 +21,11 @@
 //! Both reports render human and JSON forms; JSON carries
 //! [`crate::SCHEMA_VERSION`] like the lint report.
 
-use crate::diag::escape_json;
 use crate::{rules, Diagnostic, ImageCtx, Severity, TraceCtx, SCHEMA_VERSION};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
+use valign_core::serve::protocol::escape_json;
 use valign_core::store_ops::matrix_keys;
 use valign_core::SimContext;
 use valign_pipeline::costmodel::{bounds, CostBounds};

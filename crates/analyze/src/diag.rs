@@ -9,6 +9,7 @@
 //! version).
 
 use std::fmt;
+use valign_core::serve::protocol::escape_json;
 
 /// Version of the JSON diagnostic schema (`valign lint --json`,
 /// `valign audit --json`). Bumped only on breaking changes: renaming or
@@ -186,25 +187,6 @@ impl Diagnostic {
     }
 }
 
-/// Escapes a string for inclusion in a JSON string literal.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,13 +237,5 @@ mod tests {
             assert_eq!(rule.to_string(), rule.as_str());
         }
         assert_eq!(RuleName::parse("ALIGNMENT-INVARIANT"), None, "case-exact");
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(escape_json(r#"a"b"#), r#"a\"b"#);
-        assert_eq!(escape_json("a\\b"), r"a\\b");
-        assert_eq!(escape_json("a\nb"), r"a\nb");
-        assert_eq!(escape_json("a\u{1}b"), "a\\u0001b");
     }
 }

@@ -7,8 +7,8 @@
 //! * the two outcome sequences are identical (supervision is
 //!   deterministic across thread counts);
 //! * every outcome is [`valign_core::JobOutcome::Completed`] — on a
-//!   healthy trace the supervisor must be invisible: no retry, no
-//!   degradation, no quarantine, no watchdog trip;
+//!   healthy trace the supervisor must be invisible: no degradation, no
+//!   quarantine, no watchdog trip;
 //! * each completed result is bit-identical to a direct unsupervised
 //!   replay of the same trace/configuration.
 //!

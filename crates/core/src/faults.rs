@@ -4,9 +4,10 @@
 //! path bit-identical at any thread count extends here to the *failure*
 //! path: a fault is a pure function of `(seed, trace key, fault class)`,
 //! never of wall-clock, thread id or allocation addresses. Injecting the
-//! same spec into the same batch twice corrupts the same byte, stalls the
-//! same record and panics the same job — so failure handling can be
-//! regression-tested as tightly as the simulator itself.
+//! same spec into the same batch twice corrupts the same byte and panics
+//! the same job — so failure handling can be regression-tested as tightly
+//! as the simulator itself. Every class is persistent: replay is
+//! deterministic, so a fault fires on every run of its job.
 //!
 //! A fault is described by a [`FaultSpec`] (`class:selector`, the CLI's
 //! `--inject` grammar), collected into a [`FaultSet`], and resolved per
@@ -17,7 +18,6 @@
 //! | class          | mechanism                               | detected by |
 //! |----------------|-----------------------------------------|-------------|
 //! | `panic`        | forced panic in the worker              | `catch_unwind` |
-//! | `stall`        | injected dispatch stall > cycle budget  | watchdog (transient → retry) |
 //! | `truncate`     | per-record arrays shortened             | static validation |
 //! | `bitflip`      | flag byte flipped                       | static validation |
 //! | `image-corrupt`| dependence cursor bent, stale checksum  | checksum verification |
@@ -41,10 +41,6 @@ use valign_pipeline::Sabotage;
 pub enum FaultClass {
     /// Forced panic inside the job — exercises panic isolation.
     Panic,
-    /// Artificial per-job stall past the cycle budget. Transient: models
-    /// a hiccup, so it is only active on a job's first attempt and a
-    /// retry succeeds.
-    Stall,
     /// Trace truncation: the image's per-record arrays end early.
     Truncate,
     /// Bit-flip in a record's flag byte.
@@ -58,8 +54,9 @@ pub enum FaultClass {
     /// On-disk corruption of the persistent store tier: the job's image
     /// is pushed through the `valign-store` container encode, its file
     /// bytes are deterministically damaged, and the decode must climb the
-    /// integrity ladder and reject — the job then degrades to the
-    /// reference walker. Never touches the in-memory image.
+    /// integrity ladder and reject — the job then degrades to an image
+    /// rebuilt from the canonical trace. Never touches the in-memory
+    /// image.
     DiskCorrupt,
     /// Store write-back fails outright (full or read-only disk model).
     /// The job keeps its in-memory image; the disk tier records a
@@ -82,7 +79,6 @@ impl FaultClass {
     /// Every class, in spec order.
     pub const ALL: &'static [FaultClass] = &[
         FaultClass::Panic,
-        FaultClass::Stall,
         FaultClass::Truncate,
         FaultClass::BitFlip,
         FaultClass::ImageCorrupt,
@@ -98,7 +94,6 @@ impl FaultClass {
     pub fn label(self) -> &'static str {
         match self {
             FaultClass::Panic => "panic",
-            FaultClass::Stall => "stall",
             FaultClass::Truncate => "truncate",
             FaultClass::BitFlip => "bitflip",
             FaultClass::ImageCorrupt => "image-corrupt",
@@ -117,13 +112,12 @@ impl FaultClass {
     }
 
     /// The image corruption this class applies, `None` for the classes
-    /// that never touch the in-memory image (`panic`, `stall`,
-    /// `disk-corrupt` — the latter damages the *file* form instead — and
-    /// the I/O and connection classes, which fire outside the simulator).
+    /// that never touch the in-memory image (`panic`, `disk-corrupt` —
+    /// the latter damages the *file* form instead — and the I/O and
+    /// connection classes, which fire outside the simulator).
     pub fn sabotage(self) -> Option<Sabotage> {
         match self {
             FaultClass::Panic
-            | FaultClass::Stall
             | FaultClass::DiskCorrupt
             | FaultClass::IoError
             | FaultClass::ShortWrite
@@ -179,7 +173,7 @@ pub struct FaultSpec {
 
 impl FaultSpec {
     /// Parses `class:selector` (e.g. `panic:luma8x8.unaligned`,
-    /// `image-corrupt:*`, `stall:chroma`).
+    /// `image-corrupt:*`, `bitflip:chroma`).
     pub fn parse(spec: &str) -> Result<FaultSpec, FaultParseError> {
         let err = |reason: &str| FaultParseError {
             spec: spec.to_string(),
@@ -242,15 +236,6 @@ pub struct FaultPlan {
     pub class: FaultClass,
     /// Hash of `(seed, job label, class)` — the fault's position key.
     pub site: u64,
-}
-
-impl FaultPlan {
-    /// Whether the fault fires on the job's `attempt`-th try (0-based).
-    /// [`FaultClass::Stall`] is transient — a modelled hiccup that clears
-    /// on retry; every other class is persistent.
-    pub fn active(&self, attempt: u32) -> bool {
-        self.class != FaultClass::Stall || attempt == 0
-    }
 }
 
 /// The deterministic fault site for a job: a pure hash of the workload
@@ -334,7 +319,7 @@ mod tests {
         assert!(s.matches("sad4x4.altivec"));
         assert!(s.matches("shared"));
 
-        let s = FaultSpec::parse("stall:chroma").expect("kernel prefix");
+        let s = FaultSpec::parse("truncate:chroma").expect("kernel prefix");
         assert!(s.matches("chroma8x8.scalar"));
         assert!(!s.matches("luma8x8.scalar"));
 
@@ -345,12 +330,15 @@ mod tests {
 
     #[test]
     fn spec_parsing_rejects_nonsense() {
-        for bad in ["panic", "meteor:*", "panic:", ":x", ""] {
+        for bad in ["panic", "meteor:*", "stall:*", "panic:", ":x", ""] {
             assert!(FaultSpec::parse(bad).is_err(), "{bad:?} must not parse");
         }
         let e = FaultSpec::parse("meteor:*").expect_err("unknown class");
         assert!(e.to_string().contains("meteor"), "{e}");
         assert!(e.to_string().contains("image-corrupt"), "lists known: {e}");
+        let e = FaultSet::parse(&["stall:*".to_string()]).expect_err("stall is not a class");
+        assert_eq!(e.spec, "stall:*");
+        assert!(e.reason.contains("unknown class `stall`"), "{e}");
     }
 
     #[test]
@@ -363,15 +351,13 @@ mod tests {
     }
 
     #[test]
-    fn first_matching_spec_wins_and_stall_is_transient() {
-        let set = FaultSet::parse(&["stall:luma".to_string(), "panic:*".to_string()])
+    fn first_matching_spec_wins() {
+        let set = FaultSet::parse(&["bitflip:luma".to_string(), "panic:*".to_string()])
             .expect("both parse");
         let luma = set.plan_for("luma8x8.scalar", 7).expect("matched");
-        assert_eq!(luma.class, FaultClass::Stall);
-        assert!(luma.active(0) && !luma.active(1), "stall clears on retry");
+        assert_eq!(luma.class, FaultClass::BitFlip);
         let other = set.plan_for("sad8x8.scalar", 7).expect("wildcard");
         assert_eq!(other.class, FaultClass::Panic);
-        assert!(other.active(0) && other.active(2), "panic persists");
         assert!(FaultSet::none().plan_for("luma8x8.scalar", 7).is_none());
     }
 }

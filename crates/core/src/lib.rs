@@ -27,8 +27,8 @@
 //!   the record-form reference walker (`valign bench-replay`).
 //! * [`faults`] / [`supervise`] — deterministic fault injection and the
 //!   supervised batch executor: per-job panic isolation, integrity-checked
-//!   replay images, a cycle-budget watchdog, bounded retries, quarantine,
-//!   and graceful degradation to the reference walker
+//!   replay images, a cycle-budget watchdog, quarantine, and graceful
+//!   degradation to an image rebuilt from the canonical trace
 //!   (`valign run --supervised --inject`).
 //! * [`serve`] — the long-running simulation service: a length-prefixed
 //!   JSON socket protocol, a priority job queue with admission control

@@ -49,7 +49,11 @@ use std::path::{Path, PathBuf};
 use valign_pipeline::WordHash;
 
 /// First 8 bytes of every journal file.
-pub const JOURNAL_MAGIC: &[u8; 8] = b"VALIGNJ1";
+///
+/// Bumped whenever the done-record scorecard schema changes: a journal
+/// written by an older version fails the magic check and is rotated
+/// aside instead of serving cards in the old schema.
+pub const JOURNAL_MAGIC: &[u8; 8] = b"VALIGNJ2";
 
 /// File name of the journal inside a store directory.
 pub const JOURNAL_FILE: &str = "serve.journal";
@@ -125,8 +129,8 @@ pub struct PendingRecord {
 pub struct DoneRecord {
     /// The job-spec content hash ([`job_hash`]).
     pub hash: u64,
-    /// Outcome kind (`completed` / `retried` / `degraded` /
-    /// `quarantined`) for tally accounting on replayed serves.
+    /// Outcome kind (`completed` / `degraded` / `quarantined`) for tally
+    /// accounting on replayed serves.
     pub kind: String,
     /// The job-id-independent scorecard body
     /// ([`super::protocol::scorecard_body`]).
@@ -462,7 +466,7 @@ mod tests {
 
     fn accepted(seed: u64) -> PendingRecord {
         let spec = spec(seed);
-        let inject = vec!["stall:luma".to_string()];
+        let inject = vec!["bitflip:luma".to_string()];
         PendingRecord {
             hash: job_hash(&spec, &inject),
             priority: Priority::High,
@@ -581,6 +585,29 @@ mod tests {
         journal
             .append_accepted(&accepted(1))
             .expect("fresh log works");
+    }
+
+    #[test]
+    fn previous_format_journal_is_rotated_aside() {
+        let dir =
+            std::env::temp_dir().join(format!("valign-journal-{}-old-magic", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("store dir");
+        let path = dir.join(JOURNAL_FILE);
+        // A well-formed record behind the previous format's magic.
+        let mut old = b"VALIGNJ1".to_vec();
+        old.extend_from_slice(&[0, 0, 0, 2]);
+        old.extend_from_slice(&payload_checksum(b"{}").to_be_bytes());
+        old.extend_from_slice(b"{}");
+        std::fs::write(&path, &old).expect("old journal");
+        let (_, replay) = Journal::open(&path).expect("boot anyway");
+        let fresh = std::fs::read(&path).expect("fresh log");
+        let aside = std::fs::read(dir.join("serve.journal.corrupt")).expect("preserved");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+        assert!(replay.pending.is_empty() && replay.done.is_empty());
+        assert_eq!(replay.torn_bytes, old.len() as u64);
+        assert_eq!(fresh, JOURNAL_MAGIC.to_vec());
+        assert_eq!(aside, old);
     }
 
     #[test]

@@ -867,13 +867,12 @@ pub fn scorecard_body(job: &SimJob, outcome: &JobOutcome) -> String {
     let mut out = format!(
         "\"job\": \"{}\", \
          \"config\": \"{}\", \"realign_config\": \"{}\", \"execs\": {execs}, \
-         \"seed\": {}, \"outcome\": \"{}\", \"attempts\": {}",
+         \"seed\": {}, \"outcome\": \"{}\"",
         escape_json(&job.label()),
         escape_json(job.cfg.name),
         job.cfg.realign.label(),
         job.seed(),
         outcome.kind(),
-        outcome.attempts(),
     );
     match outcome.result() {
         Some(r) => {
@@ -912,9 +911,8 @@ pub fn scorecard_body(job: &SimJob, outcome: &JobOutcome) -> String {
 pub fn render_batch_done(jobs: usize, tally: &OutcomeTally) -> String {
     format!(
         "{{\"type\": \"batch-done\", \"jobs\": {jobs}, \"tally\": \
-         {{\"completed\": {}, \"retried\": {}, \"degraded\": {}, \
-         \"quarantined\": {}}}}}",
-        tally.completed, tally.retried, tally.degraded, tally.quarantined,
+         {{\"completed\": {}, \"degraded\": {}, \"quarantined\": {}}}}}",
+        tally.completed, tally.degraded, tally.quarantined,
     )
 }
 
@@ -934,6 +932,14 @@ mod tests {
         );
         assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(""));
         assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
+    }
+
+    #[test]
+    fn json_escaping() {
+        assert_eq!(escape_json(r#"a"b"#), r#"a\"b"#);
+        assert_eq!(escape_json("a\\b"), r"a\\b");
+        assert_eq!(escape_json("a\nb"), r"a\nb");
+        assert_eq!(escape_json("a\u{1}b"), "a\\u0001b");
     }
 
     #[test]

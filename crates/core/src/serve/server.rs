@@ -29,7 +29,7 @@
 //! * **Priorities** order the queue (high > normal > low); within one
 //!   priority jobs run FIFO by a monotone sequence number.
 //! * **Determinism**: every job runs alone through its own
-//!   single-threaded [`SupervisedRunner`] with the server's fixed
+//!   single-threaded [`SupervisedRunner`] with the default
 //!   [`SupervisorConfig`], so its scorecard is a pure function of the
 //!   job spec and seed — independent of queue order, worker count,
 //!   sibling load, and (with a warm `--store-dir`) daemon restarts.
@@ -109,8 +109,6 @@ pub struct ServeConfig {
     /// (`disconnect` / `torn-frame` selectors from `valign serve
     /// --inject`) — the chaos harness's knob for rude-peer scenarios.
     pub chaos: FaultSet,
-    /// Supervision policy every job runs under.
-    pub supervisor: SupervisorConfig,
 }
 
 impl Default for ServeConfig {
@@ -123,7 +121,6 @@ impl Default for ServeConfig {
             retry_after_ms: 50,
             io_timeout_ms: 10_000,
             chaos: FaultSet::default(),
-            supervisor: SupervisorConfig::default(),
         }
     }
 }
@@ -627,7 +624,7 @@ fn admit(shared: &Arc<Shared>, req: SubmitRequest, reply: &mpsc::Sender<WriterMs
                 .unwrap_or_else(|| key.execs.saturating_mul(ADMISSION_INSTRS_PER_EXEC)),
             TraceSource::Shared(trace) => trace.len(),
         };
-        let projected = cfg.supervisor.budget_for(estimate);
+        let projected = SupervisorConfig::default().budget_for(estimate);
         if projected > cfg.max_budget {
             shared.lock_tally().rejected_budget += 1;
             return send(render_rejected("over-budget", None));
@@ -790,7 +787,6 @@ fn tally_of_kind(kind: &str) -> OutcomeTally {
     let mut tally = OutcomeTally::default();
     match kind {
         "completed" => tally.completed += 1,
-        "retried" => tally.retried += 1,
         "degraded" => tally.degraded += 1,
         _ => tally.quarantined += 1,
     }
@@ -887,9 +883,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         // outcome is independent of sibling jobs, worker count and queue
         // order — the determinism contract. Construction is a few
         // allocations; the replay dominates.
-        let supervisor = SupervisedRunner::new(1)
-            .with_config(shared.cfg.supervisor)
-            .with_faults((*queued.inject).clone());
+        let supervisor = SupervisedRunner::new(1).with_faults((*queued.inject).clone());
         let outcome = supervisor
             .run(&shared.store, std::slice::from_ref(&queued.job))
             .into_iter()
@@ -898,7 +892,6 @@ fn worker_loop(shared: &Arc<Shared>) {
                 failure: JobFailure::Panicked {
                     message: "supervisor returned no outcome".to_string(),
                 },
-                attempts: 0,
             });
         let body = scorecard_body(&queued.job, &outcome);
         let kind = outcome.kind().to_string();
@@ -1011,8 +1004,8 @@ fn render_stats(shared: &Shared) -> String {
          \"torn_bytes\": {}, \"appended_accepted\": {}, \
          \"appended_done\": {}, \"compactions\": {}, \
          \"write_errors\": {}}}, \
-         \"jobs\": {{\"submitted\": {}, \"completed\": {}, \"retried\": {}, \
-         \"degraded\": {}, \"quarantined\": {}, \
+         \"jobs\": {{\"submitted\": {}, \"completed\": {}, \"degraded\": {}, \
+         \"quarantined\": {}, \
          \"rejected_queue_full\": {}, \"rejected_quota\": {}, \
          \"rejected_budget\": {}, \"deduped\": {}, \"journal_served\": {}, \
          \"cache_served\": {}}}, \
@@ -1038,7 +1031,6 @@ fn render_stats(shared: &Shared) -> String {
         t.journal_write_errors,
         t.submitted,
         t.outcomes.completed,
-        t.outcomes.retried,
         t.outcomes.degraded,
         t.outcomes.quarantined,
         t.rejected_queue_full,
@@ -1081,7 +1073,6 @@ pub fn run_local(
                 failure: JobFailure::Panicked {
                     message: "supervisor returned no outcome".to_string(),
                 },
-                attempts: 0,
             });
         frames.push(render_scorecard(job_id as u64, &job, &outcome));
     }

@@ -44,8 +44,8 @@
 //! siblings' results survive ([`BatchRunner::try_run`]). The panicking
 //! variant [`BatchRunner::run`] still aborts — but only after the whole
 //! batch has drained, never by poisoning the scoped-thread join. The
-//! [`crate::supervise`] layer builds retries, quarantine and degradation
-//! on top of this.
+//! [`crate::supervise`] layer builds quarantine and degradation on top
+//! of this.
 
 use crate::faults::{FaultClass, FaultPlan, FaultSet};
 use crate::supervise::OutcomeTally;
@@ -104,9 +104,9 @@ pub enum ImageProvenance {
     DiskLoaded,
     /// A disk file existed but failed the integrity ladder; it was
     /// evicted and the image rebuilt from source. Supervised replays of
-    /// this key degrade to the reference walker — a store that served
-    /// corrupt bytes once is not trusted with the hot path until the
-    /// operator re-verifies it.
+    /// this key are reported as degraded — a store that served corrupt
+    /// bytes once is not trusted with the hot path until the operator
+    /// re-verifies it.
     DiskRebuilt {
         /// The rung the stored file failed.
         error: StoreError,
@@ -540,7 +540,7 @@ impl SimJob {
 
     fn execute(&self, store: &TraceStore) -> SimResult {
         let mut image = self.prepared(store).image;
-        if let Some(plan) = self.fault.as_ref().filter(|p| p.active(0)) {
+        if let Some(plan) = &self.fault {
             match plan.class {
                 // The whole point of the panic class: abort the worker
                 // mid-batch and see what the executor does about it.
@@ -549,13 +549,11 @@ impl SimJob {
                     self.label(),
                     plan.site
                 ),
-                // Stalls ride on `RunGuards`, which the unsupervised hot
-                // path deliberately does not carry; disk corruption lives
-                // in the store file form, which this path never reads;
-                // the I/O and connection classes fire in the storage and
-                // service layers, never inside the simulator.
-                FaultClass::Stall
-                | FaultClass::DiskCorrupt
+                // Disk corruption lives in the store file form, which this
+                // path never reads; the I/O and connection classes fire in
+                // the storage and service layers, never inside the
+                // simulator.
+                FaultClass::DiskCorrupt
                 | FaultClass::IoError
                 | FaultClass::ShortWrite
                 | FaultClass::TornFrame
@@ -814,7 +812,7 @@ impl SimContext {
     }
 
     /// Runs one batch under `supervisor` (fault injection, panic
-    /// isolation, retries, quarantine, degradation — see
+    /// isolation, quarantine, degradation — see
     /// [`crate::supervise`]), recording wall time *and* the outcome tally
     /// under `label`. `outcomes[i]` corresponds to `jobs[i]`.
     pub fn run_supervised(
@@ -895,14 +893,8 @@ impl SimContext {
             match b.tally {
                 Some(tally) => {
                     out.push_str(&format!(
-                        "  {:<18} {:>4} jobs  {:>9.2?}  [{}c {}r {}d {}q]\n",
-                        b.label,
-                        b.jobs,
-                        b.wall,
-                        tally.completed,
-                        tally.retried,
-                        tally.degraded,
-                        tally.quarantined,
+                        "  {:<18} {:>4} jobs  {:>9.2?}  [{}c {}d {}q]\n",
+                        b.label, b.jobs, b.wall, tally.completed, tally.degraded, tally.quarantined,
                     ));
                     totals = Some(totals.unwrap_or_default().merged(tally));
                 }

@@ -1,5 +1,5 @@
 //! Supervised batch execution: panic isolation, integrity-checked
-//! replay, bounded retries, quarantine and graceful degradation.
+//! replay, quarantine and graceful degradation.
 //!
 //! The plain [`BatchRunner`](crate::sim::BatchRunner) is the right tool
 //! when every job is trusted: it is the measured hot path, and a failure
@@ -8,12 +8,12 @@
 //! in long sweeps — while keeping the healthy part of the batch
 //! bit-identical to an unsupervised run.
 //!
-//! Every job attempt climbs an integrity ladder before its result is
-//! trusted:
+//! Every job runs exactly once and climbs an integrity ladder before its
+//! result is trusted:
 //!
 //! 0. **Provenance** — if the entry's image came from a persistent-store
 //!    file that failed `valign-store`'s integrity ladder (evicted and
-//!    rebuilt, [`ImageProvenance::DiskRebuilt`]), the attempt degrades
+//!    rebuilt, [`ImageProvenance::DiskRebuilt`]), the job degrades
 //!    immediately: the rebuilt bytes are fine, but a store that served
 //!    corrupt bytes is surfaced as a degraded outcome, never silently.
 //! 1. **Checksum** — the replay image's stored checksum (taken at compile
@@ -27,27 +27,26 @@
 //!    deterministic cycle-budget watchdog (simulated cycles, never
 //!    wall-clock, so the watchdog itself is reproducible).
 //!
-//! What happens on failure depends on what failed:
+//! Each job ends in one of three outcomes:
 //!
-//! * **Degradable** errors ([`SimError::degradable`]) indict the *image*,
-//!   not the workload — so the attempt falls back to the record-form
-//!   reference walker ([`Simulator::run_reference`]), which shares no
-//!   bytes with the image, and the outcome is flagged
-//!   [`JobOutcome::Degraded`]. Degraded results are bit-identical to a
-//!   reference run because they *are* a reference run.
-//! * **Non-degradable** errors (missing latency entry, budget blown) and
-//!   panics indict the config, the workload or the code; the job is
-//!   retried up to [`SupervisorConfig::retry_budget`] times and then
-//!   [`JobOutcome::Quarantined`] with its failure attached. Retry rounds
-//!   are the time axis of a decorrelated backoff: within a round, retry
-//!   dispatch order is reshuffled by a per-(job, attempt) hash so
-//!   colliding jobs don't hammer the pool in submission order again.
+//! * [`JobOutcome::Completed`] — every rung passed.
+//! * [`JobOutcome::Degraded`] — a degradable error
+//!   ([`SimError::degradable`]) indicted the *image*, not the workload,
+//!   so the image is rebuilt from the canonical record-form trace (fresh
+//!   bytes that share nothing with the distrusted ones) and replayed
+//!   through the same guarded call, warm-up included. Replay is
+//!   bit-identical across image builds, so a degraded result equals a
+//!   [`Simulator::run_reference`] run of the same trace.
+//! * [`JobOutcome::Quarantined`] — a panic, a non-degradable error
+//!   (missing latency entry, budget blown) or a failed rebuilt replay.
+//!   Replay is deterministic, so a second attempt would fail the same
+//!   way; there are no retries.
 //!
 //! Determinism: outcomes are a pure function of (job list, fault set,
-//! supervisor config). Attempts run through the same scatter loop as the
-//! plain runner (results land by submission index) and every fault site,
-//! stall cycle and backoff shuffle is hash-derived — so the full
-//! [`JobOutcome`] sequence is identical at any worker-thread count.
+//! supervisor config). Jobs run through the same scatter loop as the
+//! plain runner (results land by submission index) and every fault site
+//! is hash-derived — so the full [`JobOutcome`] sequence is identical at
+//! any worker-thread count.
 
 use crate::faults::{FaultClass, FaultPlan, FaultSet};
 use crate::sim::{dispatch_order, BatchRunner, ImageProvenance, SimJob, TraceStore};
@@ -55,43 +54,30 @@ use std::cell::Cell;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 use valign_isa::Trace;
-use valign_pipeline::hash::hash_words;
-use valign_pipeline::{RunGuards, SimError, SimResult, Simulator, StallInjection};
+use valign_pipeline::{ReplayImage, RunGuards, SimError, SimResult, Simulator};
 
 /// How a supervised job ended, in submission order. Every variant that
 /// carries a [`SimResult`] is a usable measurement; only
 /// [`JobOutcome::Quarantined`] jobs produce none.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobOutcome {
-    /// First attempt succeeded on the packed replay path.
+    /// The job succeeded on the packed replay path.
     Completed {
         /// The replay measurement.
         result: SimResult,
     },
-    /// A retry succeeded after transient failures.
-    Retried {
-        /// The replay measurement from the successful attempt.
-        result: SimResult,
-        /// Total attempts used, including the successful one.
-        attempts: u32,
-    },
     /// The replay image failed an integrity rung; the result comes from
-    /// the record-form reference walker instead.
+    /// an image rebuilt from the canonical trace instead.
     Degraded {
-        /// The reference-walker measurement.
+        /// The rebuilt-image measurement.
         result: SimResult,
-        /// The integrity failure that forced the fallback.
+        /// The integrity failure that forced the rebuild.
         reason: SimError,
-        /// Total attempts used, including the degraded one.
-        attempts: u32,
     },
-    /// Every attempt failed; the job is excluded from the batch's
-    /// results.
+    /// The job failed; it is excluded from the batch's results.
     Quarantined {
-        /// What the final attempt died with.
+        /// What the job died with.
         failure: JobFailure,
-        /// Total attempts used (always `retry_budget + 1`).
-        attempts: u32,
     },
 }
 
@@ -99,20 +85,8 @@ impl JobOutcome {
     /// The measurement this outcome carries, `None` for quarantined jobs.
     pub fn result(&self) -> Option<&SimResult> {
         match self {
-            JobOutcome::Completed { result }
-            | JobOutcome::Retried { result, .. }
-            | JobOutcome::Degraded { result, .. } => Some(result),
+            JobOutcome::Completed { result } | JobOutcome::Degraded { result, .. } => Some(result),
             JobOutcome::Quarantined { .. } => None,
-        }
-    }
-
-    /// Total attempts this job consumed.
-    pub fn attempts(&self) -> u32 {
-        match self {
-            JobOutcome::Completed { .. } => 1,
-            JobOutcome::Retried { attempts, .. }
-            | JobOutcome::Degraded { attempts, .. }
-            | JobOutcome::Quarantined { attempts, .. } => *attempts,
         }
     }
 
@@ -120,25 +94,24 @@ impl JobOutcome {
     pub fn kind(&self) -> &'static str {
         match self {
             JobOutcome::Completed { .. } => "completed",
-            JobOutcome::Retried { .. } => "retried",
             JobOutcome::Degraded { .. } => "degraded",
             JobOutcome::Quarantined { .. } => "quarantined",
         }
     }
 }
 
-/// What a quarantined job's final attempt died with.
+/// What a quarantined job died with.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobFailure {
-    /// The attempt panicked; the payload was captured by the executor's
+    /// The job panicked; the payload was captured by the executor's
     /// per-job `catch_unwind`.
     Panicked {
         /// The stringified panic payload.
         message: String,
     },
-    /// The attempt returned a structured, non-degradable error.
+    /// The job returned a structured, non-degradable error.
     Faulted {
-        /// The error of the final attempt.
+        /// The error the job died with.
         error: SimError,
     },
 }
@@ -156,13 +129,11 @@ impl fmt::Display for JobFailure {
 /// record and summed into the scorecard's `supervised totals` line.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OutcomeTally {
-    /// Jobs whose first attempt succeeded.
+    /// Jobs that completed on the packed path.
     pub completed: usize,
-    /// Jobs that needed a retry and then succeeded.
-    pub retried: usize,
-    /// Jobs served by the reference walker after an integrity failure.
+    /// Jobs served by a rebuilt image after an integrity failure.
     pub degraded: usize,
-    /// Jobs that exhausted their retry budget.
+    /// Jobs that failed outright.
     pub quarantined: usize,
 }
 
@@ -173,7 +144,6 @@ impl OutcomeTally {
         for outcome in outcomes {
             match outcome {
                 JobOutcome::Completed { .. } => tally.completed += 1,
-                JobOutcome::Retried { .. } => tally.retried += 1,
                 JobOutcome::Degraded { .. } => tally.degraded += 1,
                 JobOutcome::Quarantined { .. } => tally.quarantined += 1,
             }
@@ -185,16 +155,15 @@ impl OutcomeTally {
     pub fn merged(self, other: OutcomeTally) -> OutcomeTally {
         OutcomeTally {
             completed: self.completed + other.completed,
-            retried: self.retried + other.retried,
             degraded: self.degraded + other.degraded,
             quarantined: self.quarantined + other.quarantined,
         }
     }
 
-    /// True when every job completed first try on the packed path — the
-    /// invariant the clean (no-injection) sweep asserts in CI.
+    /// True when every job completed on the packed path — the invariant
+    /// the clean (no-injection) sweep asserts in CI.
     pub fn clean(&self) -> bool {
-        self.retried == 0 && self.degraded == 0 && self.quarantined == 0
+        self.degraded == 0 && self.quarantined == 0
     }
 }
 
@@ -202,8 +171,8 @@ impl fmt::Display for OutcomeTally {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} completed, {} retried, {} degraded, {} quarantined",
-            self.completed, self.retried, self.degraded, self.quarantined
+            "{} completed, {} degraded, {} quarantined",
+            self.completed, self.degraded, self.quarantined
         )
     }
 }
@@ -211,9 +180,6 @@ impl fmt::Display for OutcomeTally {
 /// Supervision policy knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisorConfig {
-    /// Retries granted after a failed first attempt; a job is quarantined
-    /// after `retry_budget + 1` total failed attempts.
-    pub retry_budget: u32,
     /// Cycle-budget watchdog slope: budget grows by this many cycles per
     /// trace instruction. Even the paper's worst-case kernel (scalar,
     /// 2-way, every access missing) retires well under 100 cycles per
@@ -227,7 +193,6 @@ pub struct SupervisorConfig {
 impl Default for SupervisorConfig {
     fn default() -> Self {
         SupervisorConfig {
-            retry_budget: 2,
             cycle_budget_per_instr: 512,
             cycle_budget_floor: 65_536,
         }
@@ -243,25 +208,32 @@ impl SupervisorConfig {
                 .saturating_mul(instructions as u64),
         )
     }
+
+    /// The replay guards for an image of `instructions` records.
+    fn guards_for(&self, instructions: usize) -> RunGuards {
+        RunGuards {
+            cycle_budget: Some(self.budget_for(instructions)),
+        }
+    }
 }
 
 thread_local! {
-    /// True while the current thread is executing a supervised attempt,
+    /// True while the current thread is executing a supervised job,
     /// whose panics are caught, captured and reported as outcomes — so
     /// the process-wide panic hook should not also dump them to stderr.
     static QUIET_PANICS: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Installs (once per process) a forwarding panic hook that stays silent
-/// for supervised attempts and delegates to the pre-existing hook for
-/// every other panic.
+/// for supervised jobs and delegates to the pre-existing hook for every
+/// other panic.
 ///
 /// The install slot is a [`OnceLock`], not a [`std::sync::Once`]: `Once`
 /// *poisons* when its closure unwinds, and this function runs on every
-/// supervision round of every batch — a single panicking install (e.g.
-/// under an injected allocation fault) would then panic every sibling
-/// batch for the life of the process. `OnceLock` rolls the slot back on
-/// unwind, so a later round simply retries the install.
+/// supervised batch — a single panicking install (e.g. under an injected
+/// allocation fault) would then panic every sibling batch for the life
+/// of the process. `OnceLock` rolls the slot back on unwind, so a later
+/// batch simply retries the install.
 fn install_quiet_hook() {
     static INSTALL: OnceLock<()> = OnceLock::new();
     INSTALL.get_or_init(|| {
@@ -275,8 +247,8 @@ fn install_quiet_hook() {
 }
 
 /// Marks the current thread's panics as supervised for its lifetime,
-/// restoring the previous state on drop (the serial fast path runs
-/// attempts on the caller's thread, whose later panics must stay loud).
+/// restoring the previous state on drop (the serial fast path runs jobs
+/// on the caller's thread, whose later panics must stay loud).
 struct QuietPanics(bool);
 
 impl QuietPanics {
@@ -292,16 +264,9 @@ impl Drop for QuietPanics {
     }
 }
 
-/// How one attempt ended, before retry/quarantine policy is applied.
-enum AttemptOutcome {
-    Done(SimResult),
-    Degraded { result: SimResult, reason: SimError },
-    Failed(SimError),
-}
-
-/// A [`BatchRunner`] wrapped in supervision: fault injection, per-attempt
-/// integrity checks, panic isolation, bounded retries with decorrelated
-/// backoff ordering, quarantine and reference-walker degradation.
+/// A [`BatchRunner`] wrapped in supervision: fault injection, per-job
+/// integrity checks, panic isolation, quarantine and rebuilt-image
+/// degradation.
 #[derive(Debug, Clone)]
 pub struct SupervisedRunner {
     inner: BatchRunner,
@@ -342,118 +307,36 @@ impl SupervisedRunner {
         &self.cfg
     }
 
-    /// Runs every job under supervision; `outcomes[i]` corresponds to
-    /// `jobs[i]`, at any thread count.
+    /// Runs every job once under supervision; `outcomes[i]` corresponds
+    /// to `jobs[i]`, at any thread count.
     pub fn run(&self, store: &TraceStore, jobs: &[SimJob]) -> Vec<JobOutcome> {
-        // A job's explicit fault (test hook) wins over the injection set.
-        let plans: Vec<Option<FaultPlan>> = jobs
-            .iter()
-            .map(|j| {
-                j.fault
-                    .clone()
-                    .or_else(|| self.faults.plan_for(&j.label(), j.seed()))
-            })
-            .collect();
-        let mut outcomes: Vec<Option<JobOutcome>> = jobs.iter().map(|_| None).collect();
-        let mut pending: Vec<usize> = (0..jobs.len()).collect();
-        let mut attempt = 0u32;
-        while !pending.is_empty() {
-            install_quiet_hook();
-            let order = self.round_order(store, jobs, &pending, attempt);
-            let results = self.inner.scatter(pending.len(), order, |k| {
+        install_quiet_hook();
+        self.inner
+            .scatter(jobs.len(), dispatch_order(store, jobs), |i| {
                 let _quiet = QuietPanics::enter();
-                let i = pending[k];
-                self.execute_attempt(&jobs[i], store, plans[i].as_ref(), attempt)
-            });
-            let mut next_round = Vec::new();
-            for (k, result) in results.into_iter().enumerate() {
-                let i = pending[k];
-                let attempts = attempt + 1;
-                let retryable = attempt < self.cfg.retry_budget;
-                match result {
-                    Ok(AttemptOutcome::Done(result)) => {
-                        outcomes[i] = Some(if attempt == 0 {
-                            JobOutcome::Completed { result }
-                        } else {
-                            JobOutcome::Retried { result, attempts }
-                        });
-                    }
-                    Ok(AttemptOutcome::Degraded { result, reason }) => {
-                        outcomes[i] = Some(JobOutcome::Degraded {
-                            result,
-                            reason,
-                            attempts,
-                        });
-                    }
-                    Ok(AttemptOutcome::Failed(_)) if retryable => next_round.push(i),
-                    Ok(AttemptOutcome::Failed(error)) => {
-                        outcomes[i] = Some(JobOutcome::Quarantined {
-                            failure: JobFailure::Faulted { error },
-                            attempts,
-                        });
-                    }
-                    Err(_) if retryable => next_round.push(i),
-                    Err(panic) => {
-                        outcomes[i] = Some(JobOutcome::Quarantined {
-                            failure: JobFailure::Panicked {
-                                message: panic.message,
-                            },
-                            attempts,
-                        });
-                    }
-                }
-            }
-            pending = next_round;
-            attempt += 1;
-        }
-        // Every round either resolves a pending job or re-queues it, so
-        // every slot is filled — but a hole must not panic the whole
-        // batch (that would let one supervisor bug take every sibling's
-        // finished outcome with it). Map it into the failure taxonomy
-        // instead, as a quarantine the tally and scorecard surface.
-        outcomes
+                let job = &jobs[i];
+                // A job's explicit fault (test hook) wins over the
+                // injection set.
+                let plan = job
+                    .fault
+                    .clone()
+                    .or_else(|| self.faults.plan_for(&job.label(), job.seed()));
+                self.execute(job, store, plan.as_ref())
+            })
             .into_iter()
-            .map(|o| {
-                o.unwrap_or_else(|| JobOutcome::Quarantined {
+            .map(|outcome| {
+                outcome.unwrap_or_else(|panic| JobOutcome::Quarantined {
                     failure: JobFailure::Panicked {
-                        message: "supervisor lost track of the job outcome".to_string(),
+                        message: panic.message,
                     },
-                    attempts: 0,
                 })
             })
             .collect()
     }
 
-    /// Dispatch order for one round. The first round uses the plain
-    /// runner's largest-trace-first order; retry rounds are the backoff
-    /// time axis, and within one the order is decorrelated — shuffled by
-    /// a per-(job, attempt) hash — so retries of clustered failures don't
-    /// replay the submission pattern that just failed together.
-    fn round_order(
-        &self,
-        store: &TraceStore,
-        jobs: &[SimJob],
-        pending: &[usize],
-        attempt: u32,
-    ) -> Vec<usize> {
-        if attempt == 0 {
-            return dispatch_order(store, jobs);
-        }
-        let mut order: Vec<usize> = (0..pending.len()).collect();
-        order.sort_by_key(|&k| hash_words(u64::from(attempt), &[pending[k] as u64]));
-        order
-    }
-
-    /// One attempt of one job: resolve the prepared trace, apply the
-    /// fault plan (if active on this attempt), climb the integrity
-    /// ladder, and replay — or degrade to the reference walker.
-    fn execute_attempt(
-        &self,
-        job: &SimJob,
-        store: &TraceStore,
-        plan: Option<&FaultPlan>,
-        attempt: u32,
-    ) -> AttemptOutcome {
+    /// One job: resolve the prepared trace, apply the fault plan, climb
+    /// the integrity ladder, and replay — or degrade to a rebuilt image.
+    fn execute(&self, job: &SimJob, store: &TraceStore, plan: Option<&FaultPlan>) -> JobOutcome {
         let prepared = job.prepared(store);
         let mut image = Arc::clone(&prepared.image);
         let mut expected = prepared.image_checksum;
@@ -468,12 +351,7 @@ impl SupervisedRunner {
             };
             return self.degrade(job, &prepared.trace(), reason);
         }
-        let budget = self.cfg.budget_for(image.len());
-        let mut guards = RunGuards {
-            cycle_budget: Some(budget),
-            stall: None,
-        };
-        if let Some(plan) = plan.filter(|p| p.active(attempt)) {
+        if let Some(plan) = plan {
             match plan.class {
                 FaultClass::Panic => panic!(
                     "injected fault: forced panic in job {} (site {:#018x})",
@@ -498,15 +376,6 @@ impl SupervisedRunner {
                         detail: format!("stored image file corrupt: {error}"),
                     };
                     return self.degrade(job, &prepared.trace(), reason);
-                }
-                FaultClass::Stall => {
-                    let at = plan.site % (image.len().max(1) as u64);
-                    // One stall larger than the whole budget: guaranteed
-                    // to trip the watchdog, still fully deterministic.
-                    guards.stall = Some(StallInjection {
-                        at,
-                        cycles: budget.saturating_add(1),
-                    });
                 }
                 // The I/O and connection classes fire in the storage and
                 // service layers (store write-back, the serve connection
@@ -547,29 +416,36 @@ impl SupervisedRunner {
             job.cfg.clone(),
             job.warm.then_some(&*image),
             &image,
-            &guards,
+            &self.cfg.guards_for(prepared.image.len()),
         ) {
-            Ok(result) => AttemptOutcome::Done(result),
+            Ok(result) => JobOutcome::Completed { result },
             Err(reason) if reason.degradable() => self.degrade(job, &prepared.trace(), reason),
-            Err(error) => AttemptOutcome::Failed(error),
+            Err(error) => JobOutcome::Quarantined {
+                failure: JobFailure::Faulted { error },
+            },
         }
     }
 
-    /// The graceful-degradation path: replay the canonical record-form
-    /// trace through the reference walker, which shares no bytes with the
-    /// (distrusted) image, mirroring the job's warm-up discipline.
-    fn degrade(&self, job: &SimJob, trace: &Trace, reason: SimError) -> AttemptOutcome {
-        let mut sim = Simulator::new(job.cfg.clone());
-        if job.warm {
-            let _ = sim.run_reference(trace);
-        }
-        AttemptOutcome::Degraded {
-            result: sim.run_reference(trace),
-            reason,
+    /// The graceful-degradation path: rebuild the image from the
+    /// canonical record-form trace — fresh bytes that share nothing with
+    /// the distrusted image — and replay it through the same guarded call
+    /// and warm-up discipline as the healthy path. A rebuilt image that
+    /// fails too quarantines the job.
+    fn degrade(&self, job: &SimJob, trace: &Trace, reason: SimError) -> JobOutcome {
+        let image = ReplayImage::build(trace);
+        match Simulator::try_simulate_image(
+            job.cfg.clone(),
+            job.warm.then_some(&image),
+            &image,
+            &self.cfg.guards_for(image.len()),
+        ) {
+            Ok(result) => JobOutcome::Degraded { result, reason },
+            Err(error) => JobOutcome::Quarantined {
+                failure: JobFailure::Faulted { error },
+            },
         }
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -616,29 +492,8 @@ mod tests {
     }
 
     #[test]
-    fn stall_faults_are_transient_and_end_in_retried() {
+    fn panic_faults_quarantine_on_the_only_attempt() {
         let store = TraceStore::new();
-        let outcomes = SupervisedRunner::new(1)
-            .with_faults(faults("stall:*"))
-            .run(&store, &jobs());
-        for outcome in &outcomes {
-            assert!(
-                matches!(outcome, JobOutcome::Retried { attempts: 2, .. }),
-                "a stall clears on the first retry: {outcome:?}"
-            );
-        }
-        // The retried result is the clean result: the stall never lands
-        // on the successful attempt.
-        let plain = BatchRunner::new(1).run(&store, &jobs());
-        for (outcome, expected) in outcomes.iter().zip(&plain) {
-            assert_eq!(outcome.result(), Some(expected));
-        }
-    }
-
-    #[test]
-    fn panic_faults_exhaust_the_budget_and_quarantine() {
-        let store = TraceStore::new();
-        let cfg = SupervisorConfig::default();
         let outcomes = SupervisedRunner::new(2)
             .with_faults(faults("panic:sad8x8.scalar"))
             .run(&store, &jobs());
@@ -647,8 +502,7 @@ mod tests {
         assert_eq!(tally.completed, 2);
         let scalar = &outcomes[0]; // Variant::ALL starts with Scalar
         match scalar {
-            JobOutcome::Quarantined { failure, attempts } => {
-                assert_eq!(*attempts, cfg.retry_budget + 1);
+            JobOutcome::Quarantined { failure } => {
                 assert!(
                     matches!(failure, JobFailure::Panicked { message }
                         if message.contains("injected fault: forced panic")),
@@ -657,6 +511,9 @@ mod tests {
             }
             other => panic!("expected quarantine, got {other:?}"),
         }
+        // One store lookup per job: the panicking job ran exactly once.
+        let stats = store.stats();
+        assert_eq!(stats.hits + stats.misses, jobs().len() as u64);
     }
 
     #[test]
@@ -673,15 +530,9 @@ mod tests {
                 .with_faults(faults(spec))
                 .run(&store, &jobs());
             for (outcome, job) in outcomes.iter().zip(&jobs()) {
-                let JobOutcome::Degraded {
-                    result,
-                    reason,
-                    attempts,
-                } = outcome
-                else {
+                let JobOutcome::Degraded { result, reason } = outcome else {
                     panic!("{spec}: expected degradation, got {outcome:?}");
                 };
-                assert_eq!(*attempts, 1, "{spec}: degradation never retries");
                 assert_eq!(
                     matches!(reason, SimError::ChecksumMismatch { .. }),
                     want_checksum,
@@ -741,31 +592,30 @@ mod tests {
 
     #[test]
     fn budget_watchdog_quarantines_runaway_jobs() {
-        let store = TraceStore::new();
-        // A budget no real replay can meet: every attempt trips the
-        // watchdog, which is not degradable, so retries exhaust.
+        // A budget no real replay can meet. A blown budget is not
+        // degradable, and a rebuilt image replays under the same watchdog,
+        // so the job quarantines with or without a degradable fault.
         let cfg = SupervisorConfig {
-            retry_budget: 1,
             cycle_budget_per_instr: 0,
             cycle_budget_floor: 1,
         };
-        let outcomes = SupervisedRunner::new(1)
-            .with_config(cfg)
-            .run(&store, &jobs()[..1]);
-        match &outcomes[0] {
-            JobOutcome::Quarantined { failure, attempts } => {
-                assert_eq!(*attempts, 2);
-                assert!(
-                    matches!(
-                        failure,
-                        JobFailure::Faulted {
+        for set in [FaultSet::none(), faults("disk-corrupt:*")] {
+            let outcomes = SupervisedRunner::new(1)
+                .with_config(cfg)
+                .with_faults(set)
+                .run(&TraceStore::new(), &jobs()[..1]);
+            assert!(
+                matches!(
+                    &outcomes[0],
+                    JobOutcome::Quarantined {
+                        failure: JobFailure::Faulted {
                             error: SimError::BudgetExceeded { .. }
                         }
-                    ),
-                    "{failure:?}"
-                );
-            }
-            other => panic!("expected watchdog quarantine, got {other:?}"),
+                    }
+                ),
+                "{:?}",
+                outcomes[0]
+            );
         }
     }
 

@@ -41,30 +41,14 @@ use valign_cache::{CacheConfig, Hierarchy, SetAssocCache};
 use valign_isa::{DynInstr, MemKind, Trace, Unit};
 
 /// Integrity guards applied by the checked replay path
-/// ([`Simulator::try_run_image`]). Both guards are expressed in simulated
-/// cycles / record indices — never wall-clock — so a guarded replay is as
-/// deterministic as an unguarded one.
+/// ([`Simulator::try_run_image`]). The guard is expressed in simulated
+/// cycles — never wall-clock — so a guarded replay is as deterministic as
+/// an unguarded one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunGuards {
     /// Watchdog deadline: abort with [`SimError::BudgetExceeded`] as soon
     /// as any instruction retires past this cycle. `None` disables it.
     pub cycle_budget: Option<u64>,
-    /// Deterministic artificial stall injected at one record (fault
-    /// injection's per-job stall class). `None` injects nothing.
-    pub stall: Option<StallInjection>,
-}
-
-/// An artificial stall: the record at index `at` reaches dispatch `cycles`
-/// late. Dispatch is the injection point because every later milestone is
-/// a running maximum over it, and the attribution walk charges the
-/// inflated dispatch segment to the frontend bucket — so an injected
-/// stall slows the run without breaking cycle conservation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StallInjection {
-    /// Record index whose dispatch is delayed.
-    pub at: u64,
-    /// Extra cycles added to that record's dispatch.
-    pub cycles: u64,
 }
 
 /// Assembles the attribution [`Timeline`] of one instruction from the
@@ -189,7 +173,7 @@ impl Simulator {
 
     /// The checked counterpart of [`Simulator::run_image`]: validates the
     /// image up front, bounds-checks the dependence walk, applies the
-    /// [`RunGuards`] (cycle-budget watchdog, injected stall), and returns
+    /// [`RunGuards`] cycle-budget watchdog, and returns
     /// a structured [`SimError`] instead of panicking. On a well-formed
     /// image with default guards the result is bit-identical to
     /// [`Simulator::run_image`].
@@ -253,13 +237,8 @@ impl Simulator {
             );
 
             // ---- dispatch / issue readiness ----
-            let mut dispatch = frontend.dispatch_at(fetch_cycle);
+            let dispatch = frontend.dispatch_at(fetch_cycle);
             if GUARDED {
-                if let Some(stall) = guards.stall {
-                    if stall.at == idx as u64 {
-                        dispatch += stall.cycles;
-                    }
-                }
                 // A producer at or after its consumer is impossible in a
                 // recorded trace; catch it before the scoreboard's
                 // window-distance arithmetic would misread the rings.
@@ -868,7 +847,6 @@ mod tests {
         .expect("no budget, no abort");
         let guards = RunGuards {
             cycle_budget: Some(full.cycles / 2),
-            stall: None,
         };
         let err = Simulator::try_simulate_image(PipelineConfig::four_way(), None, &image, &guards)
             .expect_err("half the budget must trip the watchdog");
@@ -884,53 +862,6 @@ mod tests {
             Simulator::try_simulate_image(PipelineConfig::four_way(), None, &image, &guards)
                 .expect_err("same inputs, same abort");
         assert_eq!(err, again);
-    }
-
-    #[test]
-    fn injected_stall_slows_the_run_and_conserves() {
-        let mut vm = Vm::new();
-        let mut x = vm.li(0);
-        for _ in 0..200 {
-            x = vm.addi(x, 1);
-        }
-        let trace = vm.take_trace();
-        let image = ReplayImage::build(&trace);
-        let clean = Simulator::try_simulate_image(
-            PipelineConfig::four_way(),
-            None,
-            &image,
-            &RunGuards::default(),
-        )
-        .expect("clean");
-        let guards = RunGuards {
-            cycle_budget: None,
-            stall: Some(StallInjection {
-                at: 100,
-                cycles: 5000,
-            }),
-        };
-        let stalled =
-            Simulator::try_simulate_image(PipelineConfig::four_way(), None, &image, &guards)
-                .expect("a stall is slow, not fatal");
-        // The stall lands on dispatch, so a few cycles that overlapped
-        // other work in the clean run are absorbed — the slowdown is just
-        // under the injected amount, never more than a pipeline's worth.
-        assert!(
-            stalled.cycles >= clean.cycles + 4500,
-            "stalled {} vs clean {}",
-            stalled.cycles,
-            clean.cycles
-        );
-        assert!(
-            stalled.breakdown.conserves(stalled.cycles),
-            "injected stall must not break conservation: {:?}",
-            stalled.breakdown
-        );
-        assert!(
-            stalled.breakdown.frontend >= 4000,
-            "{:?}",
-            stalled.breakdown
-        );
     }
 
     #[test]
@@ -1003,7 +934,6 @@ mod tests {
             &image,
             &RunGuards {
                 cycle_budget: Some(0),
-                stall: None,
             },
         )
         .expect("nothing to replay, nothing to abort");

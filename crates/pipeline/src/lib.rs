@@ -20,9 +20,9 @@
 //! * a guarded replay path ([`Simulator::try_run_image`]) that verifies
 //!   image integrity ([`ReplayImage::validate`], checksums via [`hash`]),
 //!   bounds-checks the pre-resolved dependence walk, and enforces a
-//!   deterministic cycle-budget watchdog plus injected stalls through
-//!   [`RunGuards`] — returning structured [`SimError`]s instead of
-//!   panicking, so a supervisor can retry or degrade.
+//!   deterministic cycle-budget watchdog through [`RunGuards`] —
+//!   returning structured [`SimError`]s instead of panicking, so a
+//!   supervisor can quarantine or degrade.
 //!
 //! ## Example
 //!
@@ -64,7 +64,7 @@ pub mod result;
 pub use attribution::{Bucket, StallBreakdown};
 pub use config::{IssuePolicy, PipelineConfig};
 pub use costmodel::CostBounds;
-pub use engine::{memory_ops, unit_histogram, RunGuards, Simulator, StallInjection};
+pub use engine::{memory_ops, unit_histogram, RunGuards, Simulator};
 pub use hash::WordHash;
 pub use image::{AuditSabotage, ReplayImage, Sabotage};
 pub use latency::{Latency, LatencyTable};

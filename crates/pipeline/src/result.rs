@@ -75,11 +75,11 @@ pub enum SimError {
 
 impl SimError {
     /// Whether the failure indicts only the *packed image* — in which case
-    /// a supervisor can degrade to the record-form reference walker and
-    /// still produce a trustworthy result. [`SimError::MissingLatency`]
-    /// and [`SimError::BudgetExceeded`] indict the configuration or the
-    /// workload itself, which the reference walker shares, so they are not
-    /// degradable.
+    /// a supervisor can degrade to an image rebuilt from the canonical
+    /// trace and still produce a trustworthy result.
+    /// [`SimError::MissingLatency`] and [`SimError::BudgetExceeded`]
+    /// indict the configuration or the workload itself, which a rebuilt
+    /// image shares, so they are not degradable.
     pub fn degradable(&self) -> bool {
         matches!(
             self,

@@ -34,12 +34,12 @@
 //! `run` replays the full kernel × variant × Table II batch and prints one
 //! row per job. With `--supervised` the batch goes through the
 //! `SupervisedRunner`: per-job panic isolation, integrity-checked replay
-//! images, a cycle-budget watchdog, bounded retries, quarantine, and
-//! graceful degradation to the reference walker — the scorecard then
+//! images, a cycle-budget watchdog, quarantine, and graceful degradation
+//! to an image rebuilt from the canonical trace — the scorecard then
 //! carries per-outcome tallies and a `supervised totals` line CI greps.
 //! `--inject CLASS:SELECTOR` (repeatable, requires `--supervised`) plants
 //! deterministic faults — `panic:luma8x8.unaligned`, `image-corrupt:*`,
-//! `stall:chroma`, … — to exercise those paths; a quarantined injection
+//! `bitflip:chroma`, … — to exercise those paths; a quarantined injection
 //! still exits 0, because surviving the fault *is* the contract.
 //!
 //! `lint` runs the `valign-analyze` static checks over recorded traces
@@ -669,13 +669,8 @@ fn run_run(ctx: &SimContext, o: &Options) -> ! {
                 .map_or_else(|| "-".to_string(), |r| r.cycles.to_string());
             let detail = match outcome {
                 JobOutcome::Completed { .. } => String::new(),
-                JobOutcome::Retried { attempts, .. } => format!("{attempts} attempts"),
-                JobOutcome::Degraded {
-                    reason, attempts, ..
-                } => format!("reference walker after: {reason} ({attempts} attempt(s))"),
-                JobOutcome::Quarantined { failure, attempts } => {
-                    format!("{failure} ({attempts} attempts)")
-                }
+                JobOutcome::Degraded { reason, .. } => format!("rebuilt image after: {reason}"),
+                JobOutcome::Quarantined { failure } => failure.to_string(),
             };
             println!(
                 "{:<22} {:<7} {:>12} {:<12} {detail}",

@@ -12,9 +12,9 @@
 //!   concurrent clients at mixed priorities, and across a daemon
 //!   restart against a warm `--store-dir`;
 //! * an injected panic quarantines exactly the selected job while its
-//!   siblings stay bit-identical to an uninjected run, and an injected
-//!   stall (watchdog overrun) is retried transparently — fault
-//!   isolation holds over the wire.
+//!   siblings stay bit-identical to an uninjected run — fault isolation
+//!   holds over the wire — and an unknown fault class is answered with an
+//!   error frame before anything is admitted.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -354,21 +354,32 @@ fn injected_faults_are_isolated_over_the_wire() {
         }
     }
 
-    // A stall overruns the cycle-budget watchdog on the first attempt
-    // and clears on retry: transparently survived, reported as retried.
+    // `stall` is not a fault class: the submit gets an error frame naming
+    // it and none of its jobs is admitted.
     let req = SubmitRequest {
         client: "stalled".to_string(),
         priority: Priority::Normal,
         inject: vec!["stall:*".to_string()],
         jobs: specs()[..2].to_vec(),
     };
-    let cards = submit_ok(&mut client, &req);
-    for card in &cards {
-        assert!(
-            card.contains("\"outcome\": \"retried\""),
-            "a stalled job should survive via retry: {card}"
-        );
-    }
+    let mut raw = TcpStream::connect(addr).expect("connect");
+    write_frame(&mut raw, &req.render()).expect("send submit");
+    let reply = read_frame(&mut raw)
+        .expect("reply frame")
+        .expect("reply before EOF");
+    let reply = Json::parse(&reply).expect("reply parses");
+    assert_eq!(reply.get("type").and_then(Json::as_str), Some("error"));
+    let message = reply.get("message").and_then(Json::as_str).unwrap_or("");
+    assert!(message.contains("unknown class `stall`"), "{message}");
+    let stats = Json::parse(&client.stats().expect("stats")).expect("stats parses");
+    assert_eq!(
+        stats
+            .get("jobs")
+            .and_then(|j| j.get("submitted"))
+            .and_then(Json::as_u64),
+        Some(specs().len() as u64),
+        "only the panic batch was admitted"
+    );
 
     server.shutdown();
     server.wait();
